@@ -306,110 +306,120 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
     return outcome;
   };
 
-  auto worker_loop = [&](std::int32_t worker_id) {
-    while (std::optional<Job> job = queue.pop()) {
-      JobOutcome outcome;
-      outcome.job_id = job->id;
-      outcome.label = job->label;
-      outcome.worker = worker_id;
-      outcome.queue_wait_seconds =
-          std::chrono::duration<double>(
-              std::chrono::steady_clock::now() -
-              submitted_at[recorder.slot(job->id)])
-              .count();
-      if (trace != nullptr) {
-        obs::TraceEvent event;
-        event.event = "started";
-        event.job_id = job->id;
-        event.group = job->group;
-        event.label = job->label;
-        event.worker = worker_id;
-        event.queue_wait_s = outcome.queue_wait_seconds;
-        trace->record(event);
-      }
-      WallTimer timer;
-      if (std::chrono::steady_clock::now() > job->deadline) {
-        // Expired while queued (max_queue_wait): completes as timed_out
-        // without wasting the pool on a result nobody is waiting for.
+  // One job from pop to recorded outcome, on a pool thread or the caller.
+  auto run_job = [&](Job& job, std::int32_t worker_id) {
+    JobOutcome outcome;
+    outcome.job_id = job.id;
+    outcome.label = job.label;
+    outcome.worker = worker_id;
+    outcome.queue_wait_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      submitted_at[recorder.slot(job.id)])
+            .count();
+    if (trace != nullptr) {
+      obs::TraceEvent event;
+      event.event = "started";
+      event.job_id = job.id;
+      event.group = job.group;
+      event.label = job.label;
+      event.worker = worker_id;
+      event.queue_wait_s = outcome.queue_wait_seconds;
+      trace->record(event);
+    }
+    WallTimer timer;
+    if (std::chrono::steady_clock::now() > job.deadline) {
+      // Expired while queued (max_queue_wait): completes as timed_out
+      // without wasting the pool on a result nobody is waiting for.
+      outcome.ok = false;
+      outcome.timed_out = true;
+      outcome.error = "timed out waiting in queue (max_queue_wait)";
+      outcome.config = job.config;
+    } else {
+      try {
+        if (job.work) {
+          // Custom work owns its own state and threading (including any
+          // run-wall deadline its configs carry).
+          outcome.result = job.work();
+          outcome.config = job.config;
+          outcome.ok = true;
+        } else {
+          SimulationConfig config = job.config;
+          if (config.threads <= 0) config.threads = threads_per_job;
+          if (options_.profile) config.profile = true;
+          if (options_.policy.max_run_wall.count() > 0) {
+            config.deadline = std::min(
+                config.deadline, std::chrono::steady_clock::now() +
+                                     options_.policy.max_run_wall);
+          }
+          std::shared_ptr<const World> world =
+              options_.reuse_worlds
+                  ? cache_.acquire(config.deck, job.fingerprint,
+                                   &outcome.world_cache_hit)
+                  : build_world(config.deck);
+          Simulation sim(std::move(config), std::move(world));
+          outcome.result = sim.run();
+          outcome.config = sim.config();
+          outcome.ok = true;
+        }
+      } catch (const TimeoutError& e) {
         outcome.ok = false;
         outcome.timed_out = true;
-        outcome.error = "timed out waiting in queue (max_queue_wait)";
-        outcome.config = job->config;
-      } else {
-        try {
-          if (job->work) {
-            // Custom work owns its own state and threading (including any
-            // run-wall deadline its configs carry).
-            outcome.result = job->work();
-            outcome.config = job->config;
-            outcome.ok = true;
-          } else {
-            SimulationConfig config = job->config;
-            if (config.threads <= 0) config.threads = threads_per_job;
-            if (options_.profile) config.profile = true;
-            if (options_.policy.max_run_wall.count() > 0) {
-              config.deadline = std::min(
-                  config.deadline, std::chrono::steady_clock::now() +
-                                       options_.policy.max_run_wall);
-            }
-            std::shared_ptr<const World> world =
-                options_.reuse_worlds
-                    ? cache_.acquire(config.deck, job->fingerprint,
-                                     &outcome.world_cache_hit)
-                    : build_world(config.deck);
-            Simulation sim(std::move(config), std::move(world));
-            outcome.result = sim.run();
-            outcome.config = sim.config();
-            outcome.ok = true;
-          }
-        } catch (const TimeoutError& e) {
-          outcome.ok = false;
-          outcome.timed_out = true;
-          outcome.error = e.what();
-          outcome.config = job->config;
-        } catch (const std::exception& e) {
-          outcome.ok = false;
-          outcome.error = e.what();
-          outcome.config = job->config;
-        }
+        outcome.error = e.what();
+        outcome.config = job.config;
+      } catch (const std::exception& e) {
+        outcome.ok = false;
+        outcome.error = e.what();
+        outcome.config = job.config;
       }
-      outcome.seconds = timer.seconds();
+    }
+    outcome.seconds = timer.seconds();
 
-      const bool failed = !outcome.ok;
-      const std::uint64_t failed_id = outcome.job_id;
-      const std::uint64_t group = job->group;
-      // Cancel BEFORE recording the failure: record() evicts the group's
-      // tombstone when it accounts the group's last job, so the tombstone
-      // must already exist by then — the reverse order would re-insert it
-      // after the eviction and leak it.
-      std::vector<Job> cancelled;
-      if (failed && group != 0 && options_.cancel_failed_groups) {
-        cancelled = queue.cancel_pending(group);
-      }
-      recorder.record(std::move(outcome));
-      for (Job& sibling : cancelled) {
-        recorder.record(cancelled_outcome(
-            sibling.id, std::move(sibling.label), std::move(sibling.config),
-            "cancelled: sibling job " + std::to_string(failed_id) +
-                " failed"));
-      }
+    const bool failed = !outcome.ok;
+    const std::uint64_t failed_id = outcome.job_id;
+    const std::uint64_t group = job.group;
+    // Cancel BEFORE recording the failure: record() evicts the group's
+    // tombstone when it accounts the group's last job, so the tombstone
+    // must already exist by then — the reverse order would re-insert it
+    // after the eviction and leak it.
+    std::vector<Job> cancelled;
+    if (failed && group != 0 && options_.cancel_failed_groups) {
+      cancelled = queue.cancel_pending(group);
+    }
+    recorder.record(std::move(outcome));
+    for (Job& sibling : cancelled) {
+      recorder.record(cancelled_outcome(
+          sibling.id, std::move(sibling.label), std::move(sibling.config),
+          "cancelled: sibling job " + std::to_string(failed_id) +
+              " failed"));
     }
   };
 
+  auto worker_loop = [&](std::int32_t worker_id) {
+    while (std::optional<Job> job = queue.pop()) run_job(*job, worker_id);
+  };
+
+  // The caller is worker 0, so the pool holds at most workers - 1 threads
+  // (none beyond the job count): a one-job run creates no thread at all.
+  const std::int32_t busy_workers = static_cast<std::int32_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(workers), jobs.size()));
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (std::int32_t w = 0; w < workers; ++w) {
+  pool.reserve(static_cast<std::size_t>(busy_workers - 1));
+  for (std::int32_t w = 1; w < busy_workers; ++w) {
     pool.emplace_back(worker_loop, w);
   }
 
-  // Submit from this thread so the bounded queue back-pressures the
-  // producer, then close to let workers drain and exit.  A push refused
-  // because the job's group was cancelled mid-submission records the job
-  // as cancelled (the queue remembers poisoned groups); a push that timed
-  // out (max_queue_wait, saturated queue) records it as timed_out — either
-  // way every job gets exactly one outcome, which is what lets record()
-  // evict group tombstones safely.
+  // Submit from this thread, which never blocks on the bounded queue: when
+  // it is full, the caller runs the head job itself and then pushes on.
+  // That single rule keeps back-pressure and cannot deadlock, even with no
+  // pool thread to make room.  Only this thread pushes, so the room seen
+  // here is still there at the push below.
   for (Job& job : jobs) {
+    while (queue.size() >= queue.capacity()) {
+      if (std::optional<Job> head =
+              queue.pop_until(std::chrono::steady_clock::now())) {
+        run_job(*head, 0);
+      }
+    }
     const std::uint64_t id = job.id;
     const std::uint64_t group = job.group;
     std::string label = job.label;
@@ -428,8 +438,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
       trace->record(event);
     }
     submitted_at[recorder.slot(id)] = std::chrono::steady_clock::now();
-    const PushOutcome pushed = queue.push(std::move(job));
-    if (pushed == PushOutcome::kAccepted) {
+    if (queue.push(std::move(job)) == PushOutcome::kAccepted) {
       if (trace != nullptr) {
         obs::TraceEvent event;
         event.event = "queued";
@@ -440,39 +449,17 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
       }
       continue;
     }
-    if (queue.group_cancelled(group)) {
-      recorder.record(cancelled_outcome(
-          id, std::move(label), std::move(config),
-          "cancelled: submission refused, group " +
-              std::to_string(group) + " already failed"));
-    } else {
-      JobOutcome outcome;
-      outcome.job_id = id;
-      outcome.label = std::move(label);
-      outcome.config = std::move(config);
-      outcome.ok = false;
-      outcome.timed_out = pushed == PushOutcome::kTimedOut;
-      outcome.error = pushed == PushOutcome::kTimedOut
-                          ? "timed out waiting for queue space "
-                            "(max_queue_wait)"
-                          : "submission refused: queue closed";
-      // A timed-out grouped push loses the fork-join result exactly like a
-      // failed run: cancel the siblings already queued.  Tombstone first,
-      // outcomes second — same ordering rule as the worker loop.
-      std::vector<Job> cancelled;
-      if (group != 0 && options_.cancel_failed_groups) {
-        cancelled = queue.cancel_pending(group);
-      }
-      recorder.record(std::move(outcome));
-      for (Job& sibling : cancelled) {
-        recorder.record(cancelled_outcome(
-            sibling.id, std::move(sibling.label), std::move(sibling.config),
-            "cancelled: sibling job " + std::to_string(id) +
-                " timed out at submission"));
-      }
-    }
+    // There was room and the queue closes only after this loop, so the one
+    // refusal left is a group cancelled mid-submission (the queue remembers
+    // poisoned groups).  Every job still gets exactly one outcome, which is
+    // what lets record() evict group tombstones safely.
+    recorder.record(cancelled_outcome(
+        id, std::move(label), std::move(config),
+        "cancelled: submission refused, group " + std::to_string(group) +
+            " already failed"));
   }
   queue.close();
+  worker_loop(0);
   for (std::thread& t : pool) t.join();
 
   report.wall_seconds = wall.seconds();

@@ -1,12 +1,19 @@
 // Batch execution engine: run many jobs concurrently on a worker pool.
 //
 // The engine wires the batch pieces together: jobs flow through a bounded
-// priority JobQueue to N std::thread workers; each worker resolves its
-// job's World through the shared WorldCache, constructs a Simulation
-// against it, and runs with a nested OpenMP team of `threads_per_job`
-// threads.  Because OpenMP's nthreads setting is per host thread, worker
-// teams do not interfere: the node runs workers x threads_per_job hot
-// threads.
+// priority JobQueue to N workers; each worker resolves its job's World
+// through the shared WorldCache, constructs a Simulation against it, and
+// runs with a nested OpenMP team of `threads_per_job` threads.  Because
+// OpenMP's nthreads setting is per host thread, worker teams do not
+// interfere: the node runs workers x threads_per_job hot threads.
+//
+// The caller is worker 0.  run() creates only the other N-1 worker
+// threads (never more than the job count), so a one-job run creates no
+// thread at all, and the caller's thread — a daemon executor, a CLI's main
+// thread — keeps its OpenMP team and malloc arena from run to run instead
+// of paying for fresh ones per job.  The caller also produces: it never
+// blocks on the bounded queue, but runs the head job itself whenever the
+// queue is full, then closes the queue and drains it alongside the pool.
 //
 // Oversubscription policy: workers x threads_per_job <= hw_concurrency
 // (probe_host().logical_cpus).  Defaults derive one from the other, and
@@ -55,8 +62,9 @@ struct EngineOptions {
   /// fork-join result is already lost, so its siblings are pure waste.
   bool cancel_failed_groups = true;
   /// Deadline policy for long-lived deployments (neutrald).  max_queue_wait
-  /// bounds both a blocked push and a job's time in queue (stamped onto
-  /// Job::deadline; an expired job completes as timed_out unrun).
+  /// bounds a job's time in queue (stamped onto Job::deadline; an expired
+  /// job completes as timed_out unrun) — run()'s producer never blocks on
+  /// the queue, so there is no blocked push to bound.
   /// max_run_wall bounds each config-driven job's running wall clock via
   /// the cooperative SimulationConfig::deadline; custom-work jobs
   /// (Job::work) enforce their own — run_domains propagates the base
@@ -129,13 +137,15 @@ class BatchEngine {
  public:
   explicit BatchEngine(EngineOptions options = {});
 
-  /// Serialised per-completion hook (called from worker threads under the
-  /// engine lock, so implementations need no locking of their own).
+  /// Serialised per-completion hook (called from worker threads, the
+  /// caller's included, under the engine lock, so implementations need no
+  /// locking of their own).
   using CompletionCallback = std::function<void(const JobOutcome&)>;
 
-  /// Run every job to completion and return the aggregated report.
-  /// Job ids must be unique within the submission.  Safe to call
-  /// repeatedly; the world cache persists across runs.
+  /// Run every job to completion and return the aggregated report; the
+  /// calling thread works as worker 0.  Job ids must be unique within the
+  /// submission.  Safe to call repeatedly and from several threads at
+  /// once; the world cache persists across runs.
   BatchReport run(std::vector<Job> jobs,
                   const CompletionCallback& on_complete = {});
 
@@ -147,6 +157,10 @@ class BatchEngine {
   /// after applying the oversubscription policy.
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> thread_budget(
       std::size_t n_jobs) const;
+
+  /// The node's logical CPU count, which the oversubscription policy
+  /// budgets against.
+  [[nodiscard]] std::int32_t cpus() const { return hw_concurrency_; }
 
   /// The bounded queue depth run() would use with `workers` workers.
   [[nodiscard]] std::size_t queue_depth(std::int32_t workers) const;

@@ -5,7 +5,7 @@
 // re-report whatever is left, which keeps the per-connection code free of
 // the drain-to-EAGAIN discipline edge-triggered epoll would demand.
 //
-// WakeupFd is the cross-thread doorbell: the executor thread (and
+// WakeupFd is the cross-thread doorbell: the executor threads (and
 // request_shutdown, from any thread) signals it to pull the loop out of
 // epoll_wait — e.g. when a watched submission gains events or completes —
 // so the loop never needs a polling timeout just to notice internal state.

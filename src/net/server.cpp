@@ -89,7 +89,8 @@ NeutralServer::NeutralServer(ServerOptions options)
       trace_(options_.trace_path.empty()
                  ? nullptr
                  : std::make_unique<obs::TraceLog>(options_.trace_path)),
-      engine_(instrumented(options_.engine, &metrics_, trace_.get())) {
+      engine_(instrumented(options_.engine, &metrics_, trace_.get())),
+      cores_(engine_.cpus()) {
   submissions_total_ = &metrics_.counter(
       "neutral_submissions_total", "submissions accepted by the daemon");
   submissions_refused_ = &metrics_.counter(
@@ -107,12 +108,17 @@ NeutralServer::NeutralServer(ServerOptions options)
       "overflow or write stall)");
   conn_open_ =
       &metrics_.gauge("neutral_connections_open", "TCP connections open");
+  submissions_pending_ = &metrics_.gauge("neutral_submissions_pending",
+                                         "submissions queued or running");
+  submissions_running_ = &metrics_.gauge(
+      "neutral_submissions_running",
+      "submissions running (concurrently, within the core budget)");
 }
 
 NeutralServer::~NeutralServer() {
   request_shutdown();
   if (exporter_ != nullptr) exporter_->stop();
-  if (executor_.joinable()) executor_.join();
+  join_executors();
 }
 
 std::uint16_t NeutralServer::start() {
@@ -127,8 +133,21 @@ std::uint16_t NeutralServer::start() {
     log("metrics on http://" + options_.host + ":" +
         std::to_string(metrics_port_) + "/metrics");
   }
-  executor_ = std::thread(&NeutralServer::executor_loop, this);
+  // As many executors as the engine would run workers on a node-filling
+  // sweep; the core budget, not the thread count, decides how many
+  // submissions actually run at once.
+  const std::int32_t executors =
+      engine_.thread_budget(static_cast<std::size_t>(cores_)).first;
+  for (std::int32_t i = 0; i < executors; ++i) {
+    executors_.emplace_back(&NeutralServer::executor_loop, this);
+  }
   return port_;
+}
+
+void NeutralServer::join_executors() {
+  for (std::thread& executor : executors_) {
+    if (executor.joinable()) executor.join();
+  }
 }
 
 void NeutralServer::request_shutdown() {
@@ -162,7 +181,7 @@ void NeutralServer::trace_connection(const char* event,
 void NeutralServer::serve() {
   NEUTRAL_REQUIRE(listener_ != nullptr, "call start() before serve()");
   // A hard loop error converts into a shutdown instead of propagating past
-  // the teardown: every connection must be closed and the executor joined
+  // the teardown: every connection must be closed and the executors joined
   // before serve() returns, whatever happened.
   try {
     set_nonblocking(listener_->fd());
@@ -177,7 +196,7 @@ void NeutralServer::serve() {
   }
   listener_->close();
   teardown_connections();
-  if (executor_.joinable()) executor_.join();
+  join_executors();
   if (exporter_ != nullptr) exporter_->stop();
   log("neutrald stopped");
 }
@@ -258,6 +277,7 @@ void NeutralServer::accept_ready() {
       ::close(fd);
       continue;
     }
+    set_nodelay(fd);
     if (connections_.size() >= options_.max_connections) {
       // Best-effort structured refusal (the socket is fresh, so the tiny
       // frame virtually always fits the send buffer), then close.
@@ -348,6 +368,10 @@ void NeutralServer::flush(Connection& conn) {
 void NeutralServer::send_frame(Connection& conn, const Fields& frame) {
   if (conn.closed) return;
   conn.outbuf += encode_frame(frame);
+  flush_bounded(conn);
+}
+
+void NeutralServer::flush_bounded(Connection& conn) {
   flush(conn);
   if (!conn.closed && conn.outbuf.size() > options_.max_outbound_bytes) {
     disconnect_slow_reader(conn, "outbound buffer over " +
@@ -580,19 +604,20 @@ void NeutralServer::pump_watcher(Connection& conn) {
       if (!sub.error.empty()) header["error"] = sub.error;
     }
   }
+  // Everything fresh goes out in one write: separate small sends would
+  // leave all but the first waiting on the peer's delayed ACK.
   for (const Event& e : fresh) {
-    send_frame(conn,
-               Fields{{"event", "job"},
-                      {"label", e.label},
-                      {"status", e.status},
-                      {"seconds", format_double(e.seconds, "%.6g")},
-                      {"worker", std::to_string(e.worker)}});
-    if (conn.closed) return;
+    conn.outbuf += encode_frame(
+        Fields{{"event", "job"},
+               {"label", e.label},
+               {"status", e.status},
+               {"seconds", format_double(e.seconds, "%.6g")},
+               {"worker", std::to_string(e.worker)}});
   }
   if (done) {
     header["rows"] = std::to_string(rows.size());
-    send_frame(conn, header);
-    for (std::size_t i = 0; i < rows.size() && !conn.closed; ++i) {
+    conn.outbuf += encode_frame(header);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       const RemoteRow& r = rows[i];
       Fields frame{{"row", std::to_string(i)},
                    {"label", r.label},
@@ -606,9 +631,14 @@ void NeutralServer::pump_watcher(Connection& conn) {
                    {"population", std::to_string(r.population)},
                    {"status", r.status}};
       if (!r.error.empty()) frame["error"] = r.error;
-      send_frame(conn, frame);
+      conn.outbuf += encode_frame(frame);
     }
+  }
+  if (!fresh.empty() || done) {
+    flush_bounded(conn);
     if (conn.closed) return;
+  }
+  if (done) {
     conn.watcher.reset();
     process_input(conn);  // pipelined requests buffered behind the watch
     return;
@@ -693,6 +723,7 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   // bad deck/spec/knob now, not from a failed row later.  The executor
   // re-parses from text; decks are tiny and this keeps one code path.
   std::size_t jobs = 1;
+  std::size_t cells = 1;
   if (deck_it != request.end()) {
     sub->deck_text = deck_it->second;
     (void)parse_deck(sub->deck_text);
@@ -712,8 +743,13 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   if (!sub->layout.empty()) (void)layout_from_string(sub->layout);
   if (!sub->tally.empty()) (void)tally_mode_from_string(sub->tally);
   if (!sub->schedule.empty()) (void)schedule_from_string(sub->schedule);
-  if (!sub->domains.empty()) (void)batch::parse_domain_grid(sub->domains);
+  if (!sub->domains.empty()) {
+    const auto [rows, cols] = batch::parse_domain_grid(sub->domains);
+    cells = static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  }
   NEUTRAL_REQUIRE(sub->shards >= 0, "shards must be >= 0");
+  sub->cores = core_cost(
+      jobs * cells * static_cast<std::size_t>(std::max(sub->shards, 1)));
 
   {
     MutexLock lock(mutex_);
@@ -747,6 +783,12 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
                 {"jobs", std::to_string(jobs)}};
 }
 
+std::int32_t NeutralServer::core_cost(std::size_t engine_jobs) const {
+  const auto [workers, threads] = engine_.thread_budget(engine_jobs);
+  return static_cast<std::int32_t>(std::min<std::int64_t>(
+      static_cast<std::int64_t>(workers) * threads, cores_));
+}
+
 Fields NeutralServer::handle_metrics() {
   Fields reply{{"ok", "1"}};
   for (const auto& [name, value] : metrics_.snapshot().flat()) {
@@ -756,15 +798,14 @@ Fields NeutralServer::handle_metrics() {
 }
 
 void NeutralServer::note_submissions_locked() {
-  std::size_t active = pending_.size();
+  std::size_t running = 0;
   for (const auto& [id, sub] : submissions_) {
     (void)id;
-    active += sub->state == State::kRunning ? 1 : 0;
+    running += sub->state == State::kRunning ? 1 : 0;
   }
-  metrics_
-      .gauge("neutral_submissions_pending",
-             "submissions queued or running")
-      .set(static_cast<std::int64_t>(active));
+  submissions_pending_->set(
+      static_cast<std::int64_t>(pending_.size() + running));
+  submissions_running_->set(static_cast<std::int64_t>(running));
 }
 
 void NeutralServer::finish_locked(Submission& sub) {
@@ -865,7 +906,15 @@ void NeutralServer::executor_loop() {
     std::shared_ptr<Submission> sub;
     {
       MutexLock lock(mutex_);
-      while (!stopping_.load() && pending_.empty()) cv_.wait(lock);
+      // Strict FIFO within the core budget: only the head may start, and
+      // only once its cores are free.  A cancelled head, or any head once
+      // the server is stopping, leaves at once: it will never run.
+      while (!stopping_.load() &&
+             (pending_.empty() ||
+              (!pending_.front()->cancel->load() &&
+               pending_.front()->cores > cores_ - cores_busy_))) {
+        cv_.wait(lock);
+      }
       if (pending_.empty()) break;  // stopping and drained
       sub = pending_.front();
       pending_.pop_front();
@@ -880,12 +929,15 @@ void NeutralServer::executor_loop() {
         wake_.signal();
         continue;
       }
+      cores_busy_ += sub->cores;
       sub->state = State::kRunning;
+      note_submissions_locked();
     }
-    cv_.notify_all();
+    cv_.notify_all();  // the next head may fit in the cores left over
     execute(sub);
     {
       MutexLock lock(mutex_);
+      cores_busy_ -= sub->cores;
       finish_locked(*sub);
       evict_done_locked();
       note_submissions_locked();

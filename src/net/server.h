@@ -42,7 +42,7 @@
 // connection — non-blocking sockets, per-connection bounded in/out
 // buffers, no thread per connection and nothing detached, so shutdown is
 // deterministic: the loop closes every registered fd and serve() joins
-// the executor before returning.  Slow readers cannot wedge the daemon:
+// the executors before returning.  Slow readers cannot wedge the daemon:
 // replies buffer up to ServerOptions::max_outbound_bytes and then the
 // connection is dropped (likewise when a non-empty buffer makes no
 // progress for write_stall_timeout).  Admission control refuses work
@@ -50,9 +50,27 @@
 // the max_pending_submissions bound at submit — instead of queueing
 // towards a timeout.
 //
-// Execution model: submissions queue FIFO and one executor thread drains
-// them, so concurrent clients share the node the same way one CLI sweep
-// does (the engine's worker pool parallelises; the executor serialises).
+// Replies go out with Nagle off (TCP_NODELAY on every accepted socket) and
+// one write per pump: a result's header and all its row frames are built
+// into the outbound buffer and flushed together, so no frame of a reply
+// waits on the client's delayed ACK of the one before.
+//
+// Execution model: submissions queue FIFO in one deque, drained by a set
+// of executor threads (as many as BatchEngine::thread_budget gives
+// workers for a node-filling sweep), each of which runs one submission at
+// a time through the shared engine — calling BatchEngine::run, whose
+// calling thread is worker 0.  What decides how many run at once is a
+// core budget: at submit time each submission is costed at workers x
+// threads_per_job of the engine budget for its job count (jobs x shards x
+// subdomains), capped at the node's CPU count, and an executor starts the
+// head of the queue only once that many of the node's cores are free.
+// Order stays strict FIFO (nothing overtakes a head that does not fit),
+// and the engine's rule workers x threads <= cpus holds across the whole
+// daemon: at the default threads_per_job (0, a whole node per 1-job
+// submission) submissions run one at a time, while submissions pinned to
+// one thread each run side by side, up to one per core.  The paper's
+// policy again: small jobs cannot fill a node alone, so the parallelism
+// comes from running them together.
 // Deadlines come from EngineOptions::policy: max_queue_wait bounds queue
 // residence, max_run_wall bounds each run — an expired job completes as
 // `timed_out`, its group cancels like a failure, and the daemon keeps
@@ -156,11 +174,11 @@ class NeutralServer {
   explicit NeutralServer(ServerOptions options = {});
   ~NeutralServer();
 
-  /// Bind + listen and spawn the executor; returns the bound port.
+  /// Bind + listen and spawn the executors; returns the bound port.
   std::uint16_t start();
 
   /// Run the event loop; blocks until a shutdown request, then closes
-  /// every connection and joins the executor before returning.  Call
+  /// every connection and joins the executors before returning.  Call
   /// start() first.
   void serve();
 
@@ -201,6 +219,8 @@ class NeutralServer {
     std::int32_t threads = 0;
     std::int32_t shards = 0;
     std::string domains;  ///< "RxC" or empty
+    /// Cores reserved while running (core_cost); fixed at submit time.
+    std::int32_t cores = 1;
     State state = State::kQueued;
     std::string status;  ///< final submission status once kDone
     std::string error;
@@ -216,7 +236,7 @@ class NeutralServer {
   };
 
   /// A `result`/`watch` in progress: the loop pumps frames to the client
-  /// as the executor publishes events, and processes no further input on
+  /// as the executors publish events, and processes no further input on
   /// the connection until the submission finishes (requests stay buffered,
   /// preserving the serial request/reply order of the protocol).
   struct Watcher {
@@ -264,6 +284,9 @@ class NeutralServer {
   /// the slow-reader bound.
   void send_frame(Connection& conn, const Fields& frame);
   void flush(Connection& conn);
+  /// flush(), then apply the slow-reader bound (max_outbound_bytes) to
+  /// whatever the kernel did not take.
+  void flush_bounded(Connection& conn);
   void disconnect_slow_reader(Connection& conn, const std::string& why);
   void close_connection(Connection& conn, const std::string& reason);
   void maybe_close_after_eof(Connection& conn);
@@ -278,14 +301,19 @@ class NeutralServer {
   Fields handle_status(const Fields& request) NEUTRAL_EXCLUDES(mutex_);
   Fields handle_cancel(const Fields& request) NEUTRAL_EXCLUDES(mutex_);
   Fields handle_metrics();
+  /// Cores a submission of `engine_jobs` engine jobs reserves while it
+  /// runs: workers x threads_per_job of the engine's budget, capped at the
+  /// node's CPU count so every submission fits on an idle node.
+  [[nodiscard]] std::int32_t core_cost(std::size_t engine_jobs) const;
   /// Refresh the submission gauges after any state change.
   void note_submissions_locked() NEUTRAL_REQUIRES(mutex_);
   /// Transition to kDone and release the owner's in-flight slot exactly
   /// once.
   void finish_locked(Submission& sub) NEUTRAL_REQUIRES(mutex_);
 
-  // --- executor ---
+  // --- executors ---
   void executor_loop() NEUTRAL_EXCLUDES(mutex_);
+  void join_executors();
   void execute(const std::shared_ptr<Submission>& sub)
       NEUTRAL_EXCLUDES(mutex_);
   /// Drop the oldest finished submissions beyond max_retained_results.
@@ -316,8 +344,11 @@ class NeutralServer {
   std::vector<std::unique_ptr<Connection>> graveyard_;
   std::uint64_t next_conn_id_ = 1;
 
+  /// The node's logical CPUs: the core budget executors share.
+  const std::int32_t cores_;
+
   /// Guards the submission registry shared between the event loop and the
-  /// executor thread.  Never held across a solve: execute() copies what it
+  /// executor threads.  Never held across a solve: execute() copies what it
   /// needs out, runs unlocked, and locks again to publish results.
   Mutex mutex_;
   CondVar cv_;
@@ -326,9 +357,11 @@ class NeutralServer {
   std::deque<std::shared_ptr<Submission>> pending_
       NEUTRAL_GUARDED_BY(mutex_);
   std::uint64_t next_id_ NEUTRAL_GUARDED_BY(mutex_) = 1;
+  /// Sum of Submission::cores over the running submissions (<= cores_).
+  std::int32_t cores_busy_ NEUTRAL_GUARDED_BY(mutex_) = 0;
   std::atomic<bool> stopping_{false};
 
-  std::thread executor_;
+  std::vector<std::thread> executors_;
 
   // Resolved once in the ctor so every series exists (at zero) from the
   // first scrape and the hot paths never look anything up by name.
@@ -338,6 +371,8 @@ class NeutralServer {
   obs::Counter* conn_refused_ = nullptr;
   obs::Counter* slow_reader_disconnects_ = nullptr;
   obs::Gauge* conn_open_ = nullptr;
+  obs::Gauge* submissions_pending_ = nullptr;
+  obs::Gauge* submissions_running_ = nullptr;
 };
 
 }  // namespace neutral::net

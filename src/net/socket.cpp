@@ -95,6 +95,7 @@ TcpStream TcpStream::connect(const std::string& host, std::uint16_t port) {
     }
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&to.addr),
                   to.len) == 0) {
+      set_nodelay(fd);
       return TcpStream(fd);
     }
     last_err = errno;
@@ -244,6 +245,7 @@ std::optional<TcpStream> TcpListener::accept(
     }
     fail_errno("accept");
   }
+  set_nodelay(client);
   return TcpStream(client);
 }
 
@@ -253,6 +255,11 @@ void set_nonblocking(int fd) {
   if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     fail_errno("fcntl(F_SETFL, O_NONBLOCK)");
   }
+}
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace neutral::net

@@ -10,7 +10,13 @@
 // neutrald's serving path is different: it runs a non-blocking epoll event
 // loop (net/poller.h, net/server.cpp) over raw fds it owns, so the only
 // extra affordances it needs from here are the listener's fd() and the
-// set_nonblocking() helper below.
+// set_nonblocking()/set_nodelay() helpers below.
+//
+// Every connected socket made here, and every one neutrald accepts, has
+// Nagle's algorithm off (TCP_NODELAY).  The protocol is request/reply
+// with small frames: with Nagle on, a reply's second segment waits for the
+// peer's delayed ACK of the first (~40 ms on Linux), which dwarfs the
+// millisecond-scale jobs the daemon serves.
 //
 // Loopback and real interfaces look identical from here; tests bind
 // 127.0.0.1 port 0 and read the ephemeral port back from the listener.
@@ -46,6 +52,9 @@ class TcpStream {
   static TcpStream connect(const std::string& host, std::uint16_t port);
 
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  /// The connected fd (for socket-option checks); the stream keeps
+  /// ownership.
+  [[nodiscard]] int fd() const { return fd_; }
 
   /// Bound any single blocking read; zero restores "wait forever".
   void set_read_timeout(std::chrono::milliseconds timeout);
@@ -104,5 +113,9 @@ class TcpListener {
 
 /// Put `fd` into non-blocking mode (O_NONBLOCK); throws Error on failure.
 void set_nonblocking(int fd);
+
+/// Turn Nagle's algorithm off on a connected TCP socket (TCP_NODELAY).
+/// Best effort: a socket that refuses the option still works, only slower.
+void set_nodelay(int fd);
 
 }  // namespace neutral::net

@@ -1,10 +1,16 @@
 // Tests for the TCP front-end (src/net/): frame codec strictness, loopback
 // round-trips that must be bit-identical to in-process runs for every
 // scheme x layout x shard x domain combination, deadline expiry under a
-// QueuePolicy, malformed-frame rejection, cooperative cancellation, and
-// concurrent clients sharing one world cache.
+// QueuePolicy, malformed-frame rejection, cooperative cancellation,
+// concurrent clients sharing one world cache, concurrent submissions
+// within the core budget, and TCP_NODELAY on every socket.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -59,6 +65,7 @@ class TestServer {
   }
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] NeutralServer& server() { return *server_; }
   [[nodiscard]] NeutralClient connect() const {
     return NeutralClient("127.0.0.1", port_);
   }
@@ -305,23 +312,190 @@ TEST(NetServer, CancelStopsARunningSubmission) {
   EXPECT_EQ(client.wait(client.submit(quick)).status, "ok");
 }
 
+/// Poll the daemon-wide status until `running` submissions run at once.
+void wait_until_running(NeutralClient& client, std::size_t running) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::stoul(client.status().at("running")) != running) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "never saw " << running << " submissions running";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
 TEST(NetServer, CancelBeforeStartSkipsExecution) {
-  TestServer server;
+  // One-thread submissions cost one core each, so filling the node takes
+  // one slow submission per core; only then is `second` sure to queue.
+  ServerOptions options;
+  options.engine.threads_per_job = 1;
+  options.max_pending_submissions = 1u << 16;  // room for one per core
+  TestServer server(options);
+  const auto slots =
+      static_cast<std::size_t>(server.server().engine().cpus());
   NeutralClient client = server.connect();
 
   SubmitRequest slow;
   slow.deck_text = format_deck(tiny_deck(2000, 2000));
   slow.threads = 1;
-  const std::uint64_t first = client.submit(slow);
+  std::vector<NeutralClient> hogs;
+  std::vector<std::uint64_t> running;
+  hogs.reserve(slots);
+  running.reserve(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    hogs.push_back(server.connect());
+    running.push_back(hogs.back().submit(slow));
+  }
+  wait_until_running(client, slots);
   SubmitRequest queued;
   queued.deck_text = format_deck(tiny_deck(100, 1));
   queued.threads = 1;
   const std::uint64_t second = client.submit(queued);
-  client.cancel(second);  // still queued behind `first`
-  client.cancel(first);   // then unblock the executor quickly
+  client.cancel(second);  // still queued behind the running ones
+  for (const std::uint64_t id : running) client.cancel(id);
   const RemoteResult result = client.wait(second);
   EXPECT_EQ(result.status, "cancelled");
   EXPECT_TRUE(result.rows.empty());  // never expanded, never ran
+}
+
+TEST(NetServer, OneThreadSubmissionsRunSideBySideBitIdentical) {
+  ServerOptions options;
+  options.engine.threads_per_job = 1;
+  TestServer server(options);
+  const std::size_t n = std::min<std::size_t>(
+      3, static_cast<std::size_t>(server.server().engine().cpus()));
+  if (n < 2) GTEST_SKIP() << "needs at least 2 cpus";
+
+  // Distinct decks from separate connections, each slow enough (hundreds
+  // of ms) to be caught running.
+  const auto deck_of = [](std::size_t i) {
+    return tiny_deck(2000 + 100 * static_cast<std::int64_t>(i), 200);
+  };
+  std::vector<NeutralClient> clients;
+  std::vector<std::uint64_t> ids;
+  clients.reserve(n);
+  ids.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    clients.push_back(server.connect());
+    SubmitRequest request;
+    request.deck_text = format_deck(deck_of(i));
+    request.threads = 1;
+    ids.push_back(clients.back().submit(request));
+  }
+  NeutralClient observer = server.connect();
+  wait_until_running(observer, n);
+  EXPECT_EQ(observer.metrics().at("neutral_submissions_running"),
+            std::to_string(n));
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const RemoteResult result = clients[i].wait(ids[i]);
+    ASSERT_EQ(result.status, "ok") << result.error;
+    ASSERT_EQ(result.rows.size(), 1u);
+    SimulationConfig config;
+    config.deck = deck_of(i);
+    config.threads = 1;
+    Simulation sim(config);
+    const RunResult reference = sim.run();
+    EXPECT_EQ(result.rows[0].checksum, reference.tally_checksum) << i;
+    EXPECT_EQ(result.rows[0].population, reference.population) << i;
+    EXPECT_EQ(result.rows[0].events, reference.counters.total_events()) << i;
+  }
+}
+
+TEST(NetServer, NodeWideShardSubmissionNeverRunsAlongsideAnother) {
+  // A, then a submission sharded once per core (B: costs the whole node),
+  // then C.  B waits for A to finish, and C — which would fit beside A —
+  // may not overtake B: the queue is strict FIFO.  So at most one of the
+  // three ever runs at a time (on a 4-cpu node: a 4-shard submission never
+  // shares it).
+  ServerOptions options;
+  options.engine.threads_per_job = 1;
+  TestServer server(options);
+  const std::int32_t cpus = server.server().engine().cpus();
+  NeutralClient client = server.connect();
+
+  SubmitRequest single;
+  single.deck_text = format_deck(tiny_deck(2000, 150));
+  single.threads = 1;
+  SubmitRequest sharded = single;
+  sharded.shards = std::max(cpus, 2);
+  const std::uint64_t a = client.submit(single);
+  const std::uint64_t b = client.submit(sharded);
+  const std::uint64_t c = client.submit(single);
+
+  std::size_t most_running = 0;
+  while (std::stoul(client.status().at("done")) < 3) {
+    most_running = std::max<std::size_t>(
+        most_running, std::stoul(client.status().at("running")));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(most_running, 1u);
+  for (const std::uint64_t id : {a, b, c}) {
+    EXPECT_EQ(client.wait(id).status, "ok") << id;
+  }
+}
+
+TEST(NetSocket, ConnectedAndAcceptedSocketsHaveNagleOff) {
+  net::TcpListener listener("127.0.0.1", 0);
+  net::TcpStream client = net::TcpStream::connect("127.0.0.1", listener.port());
+  std::optional<net::TcpStream> accepted =
+      listener.accept(std::chrono::milliseconds(5000));
+  ASSERT_TRUE(accepted.has_value());
+  for (const int fd : {client.fd(), accepted->fd()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1);
+  }
+}
+
+TEST(NetEngine, CallerIsWorkerZeroAndWorkerIdsStayInRange) {
+  // One worker: the caller runs every job itself — no thread is created —
+  // and a queue of depth 1 cannot deadlock it, since a caller facing a
+  // full queue runs the head job instead of blocking.
+  {
+    batch::EngineOptions options;
+    options.workers = 1;
+    options.threads_per_job = 1;
+    options.queue_capacity = 1;
+    batch::BatchEngine engine(options);
+    std::vector<batch::Job> jobs;
+    jobs.reserve(6);
+    for (std::uint64_t id = 0; id < 6; ++id) {
+      SimulationConfig config;
+      config.deck = tiny_deck(50 + static_cast<std::int64_t>(id));
+      jobs.push_back(batch::make_job(id, config));
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t on_caller = 0;
+    const batch::BatchReport report =
+        engine.run(std::move(jobs), [&](const batch::JobOutcome&) {
+          on_caller += std::this_thread::get_id() == caller ? 1 : 0;
+        });
+    EXPECT_EQ(report.completed(), 6u);
+    EXPECT_EQ(on_caller, 6u);
+    for (const batch::JobOutcome& outcome : report.jobs) {
+      EXPECT_EQ(outcome.worker, 0);
+    }
+  }
+  // Several workers: ids are the caller's 0 plus the pool's 1..workers-1.
+  batch::EngineOptions options;
+  options.workers = 3;
+  options.threads_per_job = 1;
+  options.queue_capacity = 2;
+  batch::BatchEngine engine(options);
+  std::vector<batch::Job> jobs;
+  jobs.reserve(12);
+  for (std::uint64_t id = 0; id < 12; ++id) {
+    SimulationConfig config;
+    config.deck = tiny_deck(50 + static_cast<std::int64_t>(id));
+    jobs.push_back(batch::make_job(id, config));
+  }
+  const batch::BatchReport report = engine.run(std::move(jobs));
+  EXPECT_EQ(report.completed(), 12u);
+  for (const batch::JobOutcome& outcome : report.jobs) {
+    EXPECT_GE(outcome.worker, 0);
+    EXPECT_LT(outcome.worker, 3);
+  }
 }
 
 TEST(NetServer, MalformedFramesAreRejectedWithoutKillingTheServer) {
@@ -646,6 +820,7 @@ TEST(NetServer, MetricsOpReportsQueueCacheAndOutcomeSeries) {
   Fields before = client.metrics();
   EXPECT_EQ(before.at("ok"), "1");
   EXPECT_EQ(field_u64(before, "neutral_world_cache_misses_total"), 0u);
+  EXPECT_EQ(field_u64(before, "neutral_submissions_running"), 0u);
 
   SubmitRequest request;
   request.deck_text = format_deck(tiny_deck(200));
@@ -658,6 +833,7 @@ TEST(NetServer, MetricsOpReportsQueueCacheAndOutcomeSeries) {
   EXPECT_EQ(after.at("ok"), "1");
   EXPECT_EQ(field_u64(after, "neutral_submissions_total"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_submissions_pending"), 0u);
+  EXPECT_EQ(field_u64(after, "neutral_submissions_running"), 0u);
   EXPECT_EQ(field_u64(after, "neutral_jobs_ok_total"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_queue_pushed_total"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_queue_depth"), 0u);

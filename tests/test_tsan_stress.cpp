@@ -17,11 +17,18 @@
 // corresponding outcomes accumulated from the returned BatchReports.  A
 // lost update anywhere in the sharded counters, or a snapshot tearing a
 // word, fails the test in every tier (plain, ASan, TSan).
+//
+// The second test drives the same surfaces through neutrald itself: several
+// clients' submissions overlap on several executors, so concurrent
+// BatchEngine::run calls (each calling thread working as worker 0) share
+// one engine's WorldCache, MetricsRegistry and TraceLog, while the event
+// loop streams their events and a scraper snapshots the registry.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +37,9 @@
 #include "core/counters.h"
 #include "core/deck.h"
 #include "core/simulation.h"
+#include "io/deck_io.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -207,6 +217,68 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
   EXPECT_EQ(events_total, totals.events.load());
 
   std::remove(trace_path.c_str());
+}
+
+TEST(TsanStress, OverlappingSubmissionsOnSeveralExecutors) {
+  constexpr int kClients = 4;
+  constexpr int kRounds = 4;
+
+  net::ServerOptions options;
+  options.host = "127.0.0.1";
+  options.port = 0;
+  options.engine.threads_per_job = 1;  // one core each: they run together
+  options.trace_path = testing::TempDir() + "tsan_stress_serve.jsonl";
+  net::NeutralServer server(options);
+  const std::uint16_t port = server.start();
+  std::thread loop([&server] { server.serve(); });
+
+  std::atomic<bool> stop_scraper{false};
+  std::thread scraper([&] {
+    while (!stop_scraper.load()) {
+      (void)server.metrics().snapshot().prometheus_text();
+      std::this_thread::yield();
+    }
+  });
+
+  std::atomic<std::uint64_t> jobs_ok{0};
+  std::atomic<std::uint64_t> submitted{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      net::NeutralClient client("127.0.0.1", port);
+      for (int round = 0; round < kRounds; ++round) {
+        net::SubmitRequest request;
+        request.deck_text = format_deck(stress_deck(1500 + 100 * c));
+        request.threads = 1;
+        // Every other submission fans out into 2 shard jobs.
+        request.shards = round % 2 == 1 ? 2 : 0;
+        const std::uint64_t id = client.submit(request);
+        submitted.fetch_add(1);
+        const net::RemoteResult result =
+            round % 2 == 0 ? client.wait(id, [](const net::RemoteEvent&) {})
+                           : client.wait(id);
+        EXPECT_EQ(result.status, "ok") << result.error;
+        if (result.status == "ok") {
+          jobs_ok.fetch_add(request.shards > 1 ? 2 : 1);
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  stop_scraper.store(true);
+  scraper.join();
+
+  const MetricsSnapshot snap = server.metrics().snapshot();
+  EXPECT_EQ(counter_value(snap, "neutral_submissions_total"),
+            submitted.load());
+  EXPECT_EQ(counter_value(snap, "neutral_jobs_ok_total"), jobs_ok.load());
+  // Same geometry throughout: whichever executors raced, one world build.
+  EXPECT_EQ(counter_value(snap, "neutral_world_cache_misses_total"), 1u);
+
+  server.request_shutdown();
+  loop.join();
+  std::remove(options.trace_path.c_str());
 }
 
 }  // namespace
